@@ -300,40 +300,79 @@ func benchRows(n, d int) []float32 {
 	return rngx.New(9).GaussianVec(n*d, 1)
 }
 
+// Kernel rungs run at the served head width (48) over 1,024 rows. The
+// served Cocktail seal puts K on the per-channel axis and V on the
+// per-token axis (core's cocktailSealOptions); the plain INT4/INT2 score
+// benchmarks quantize K per-token (the Atom layout) and are kept for
+// continuity.
+const kernelRows, kernelDim = 1024, 48
+
 // BenchmarkKernelFP16Scores measures the FP16 attention score kernel (mm).
 func BenchmarkKernelFP16Scores(b *testing.B) {
-	const n, d = 1024, 48
-	data := benchRows(n, d)
-	rows := f16.FromSlice(data)
-	q := rngx.New(3).GaussianVec(d, 1)
-	buf := make([]float32, d)
-	scores := make([]float32, n)
-	b.SetBytes(int64(2 * n * d))
+	rows := f16.FromSlice(benchRows(kernelRows, kernelDim))
+	q := rngx.New(3).GaussianVec(kernelDim, 1)
+	scores := make([]float32, kernelRows)
+	b.SetBytes(int64(2 * kernelRows * kernelDim))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for t := 0; t < n; t++ {
-			f16.ToSliceInto(buf, rows[t*d:(t+1)*d])
-			scores[t] = mathx.Dot(q, buf)
+		for t := range scores {
+			scores[t] = f16.Dot(q, rows[t*kernelDim:(t+1)*kernelDim])
+		}
+	}
+}
+
+// BenchmarkKernelFP16Axpy measures the FP16 value kernel: the weighted
+// sum of V rows.
+func BenchmarkKernelFP16Axpy(b *testing.B) {
+	rows := f16.FromSlice(benchRows(kernelRows, kernelDim))
+	out := make([]float32, kernelDim)
+	b.SetBytes(int64(2 * kernelRows * kernelDim))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for t := 0; t < kernelRows; t++ {
+			f16.Axpy(0.001, rows[t*kernelDim:(t+1)*kernelDim], out)
 		}
 	}
 }
 
 // BenchmarkKernelINT4Scores measures the fused INT4 score kernel (fqm).
 func BenchmarkKernelINT4Scores(b *testing.B) {
-	benchQuantScores(b, quant.INT4)
+	benchQuantScores(b, quant.INT4, quant.PerToken)
 }
 
 // BenchmarkKernelINT2Scores measures the fused INT2 score kernel (fqm).
 func BenchmarkKernelINT2Scores(b *testing.B) {
-	benchQuantScores(b, quant.INT2)
+	benchQuantScores(b, quant.INT2, quant.PerToken)
 }
 
-func benchQuantScores(b *testing.B, bits quant.Bits) {
-	const n, d = 1024, 48
-	data := benchRows(n, d)
-	qt := quant.Quantize(data, n, d, quant.Config{Bits: bits})
-	q := rngx.New(3).GaussianVec(d, 1)
-	scores := make([]float32, n)
+// BenchmarkKernelINT4ScoresPerChannel measures INT4 scores on the served
+// K layout.
+func BenchmarkKernelINT4ScoresPerChannel(b *testing.B) {
+	benchQuantScores(b, quant.INT4, quant.PerChannel)
+}
+
+// BenchmarkKernelINT2ScoresPerChannel measures INT2 scores on the served
+// K layout.
+func BenchmarkKernelINT2ScoresPerChannel(b *testing.B) {
+	benchQuantScores(b, quant.INT2, quant.PerChannel)
+}
+
+// BenchmarkKernelINT4AxpyPerToken measures the INT4 value kernel on the
+// served V layout.
+func BenchmarkKernelINT4AxpyPerToken(b *testing.B) {
+	benchQuantAxpy(b, quant.INT4)
+}
+
+// BenchmarkKernelINT2AxpyPerToken measures the INT2 value kernel on the
+// served V layout.
+func BenchmarkKernelINT2AxpyPerToken(b *testing.B) {
+	benchQuantAxpy(b, quant.INT2)
+}
+
+func benchQuantScores(b *testing.B, bits quant.Bits, axis quant.Axis) {
+	qt := quant.Quantize(benchRows(kernelRows, kernelDim), kernelRows, kernelDim, quant.Config{Bits: bits, Axis: axis})
+	q := rngx.New(3).GaussianVec(kernelDim, 1)
+	scores := make([]float32, kernelRows)
 	b.SetBytes(int64(qt.Bytes()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -341,20 +380,44 @@ func benchQuantScores(b *testing.B, bits quant.Bits) {
 	}
 }
 
-// BenchmarkCacheAttend measures full segment attention (Algorithm 1) over
-// a mixed-precision cache.
-func BenchmarkCacheAttend(b *testing.B) {
-	cfg := kvcache.Config{Layers: 2, Heads: 1, HeadDim: 48, GroupSize: 32}
-	r := rngx.New(5)
-	builder := kvcache.NewBuilder(cfg)
-	const n = 1024
-	for t := 0; t < n; t++ {
-		builder.BeginToken()
-		for l := 0; l < cfg.Layers; l++ {
-			builder.Append(l, 0, r.GaussianVec(48, 1), r.GaussianVec(48, 1))
+func benchQuantAxpy(b *testing.B, bits quant.Bits) {
+	qt := quant.Quantize(benchRows(kernelRows, kernelDim), kernelRows, kernelDim, quant.Config{Bits: bits, Axis: quant.PerToken})
+	out := make([]float32, kernelDim)
+	b.SetBytes(int64(qt.Bytes()))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for t := 0; t < kernelRows; t++ {
+			qt.AxpyRow(out, 0.001, t)
 		}
 	}
-	plan := kvcache.UniformPlan(n, 32, kvcache.INT2, true)
+}
+
+// BenchmarkCacheAttend measures full segment attention (Algorithm 1) over
+// a mixed-precision cache sealed with Cocktail's kernel options, chunks
+// reordered into one segment per precision.
+func BenchmarkCacheAttend(b *testing.B) {
+	benchCacheAttend(b, true)
+}
+
+// BenchmarkCacheAttendNoReorder is BenchmarkCacheAttend without Module
+// II's chunk reordering: the same precisions interleaved chunk by chunk
+// (the paper's Table V ablation, measured in time instead of accuracy).
+func BenchmarkCacheAttendNoReorder(b *testing.B) {
+	benchCacheAttend(b, false)
+}
+
+func benchCacheAttend(b *testing.B, reorder bool) {
+	cfg := kvcache.Config{Layers: 2, Heads: 1, HeadDim: kernelDim, GroupSize: 32,
+		KAxis: quant.PerChannel, VAxis: quant.PerToken}
+	r := rngx.New(5)
+	builder := kvcache.NewBuilder(cfg)
+	for t := 0; t < kernelRows; t++ {
+		builder.BeginToken()
+		for l := 0; l < cfg.Layers; l++ {
+			builder.Append(l, 0, r.GaussianVec(kernelDim, 1), r.GaussianVec(kernelDim, 1))
+		}
+	}
+	plan := kvcache.UniformPlan(kernelRows, 32, kvcache.INT2, reorder)
 	for i := range plan.ChunkPrec {
 		switch i % 4 {
 		case 0:
@@ -367,8 +430,8 @@ func BenchmarkCacheAttend(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	q := r.GaussianVec(48, 1)
-	out := make([]float32, 48)
+	q := r.GaussianVec(kernelDim, 1)
+	out := make([]float32, kernelDim)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cache.Attend(i%2, 0, q, 0.2, out)

@@ -79,8 +79,23 @@ func From32(f float32) F16 {
 	}
 }
 
+// to32Table holds To32 of every binary16 bit pattern, so widening — the
+// inner step of every FP16 attention kernel — is one load. 256 KiB of
+// static data (not heap), filled once at package initialization by to32.
+var to32Table [1 << 16]float32
+
+func init() {
+	for h := range to32Table {
+		to32Table[h] = to32(F16(h))
+	}
+}
+
 // To32 converts a binary16 to float32 exactly (the conversion is lossless).
-func To32(h F16) float32 {
+func To32(h F16) float32 { return to32Table[h] }
+
+// to32 is the arithmetic binary16 → float32 conversion that fills
+// to32Table.
+func to32(h F16) float32 {
 	sign := uint32(h&0x8000) << 16
 	exp := uint32(h>>10) & 0x1f
 	man := uint32(h) & 0x3ff
@@ -124,6 +139,31 @@ func ToSlice(hs []F16) []float32 {
 		xs[i] = To32(h)
 	}
 	return xs
+}
+
+// Dot returns the inner product of q and the widened h, accumulated in
+// float64 exactly like mathx.Dot over the widened row (products of two
+// float32 values are exact in float64, so no FMA can change the sum).
+func Dot(q []float32, h []F16) float32 {
+	if len(q) != len(h) {
+		panic("f16: Dot length mismatch")
+	}
+	var s float64
+	for i, v := range h {
+		s += float64(q[i]) * float64(To32(v))
+	}
+	return float32(s)
+}
+
+// Axpy computes y += alpha*widen(h) in place, with the product rounded
+// to float32 before the add, as mathx.Axpy does.
+func Axpy(alpha float32, h []F16, y []float32) {
+	if len(h) != len(y) {
+		panic("f16: Axpy length mismatch")
+	}
+	for i, v := range h {
+		y[i] += float32(alpha * To32(v))
+	}
 }
 
 // ToSliceInto widens hs into dst, which must have the same length.

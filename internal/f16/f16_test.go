@@ -150,3 +150,60 @@ func TestBytes(t *testing.T) {
 		t.Fatalf("Bytes(10) = %d", Bytes(10))
 	}
 }
+
+// TestTableMatchesArithmetic: the widening table holds exactly the
+// arithmetic conversion's bits for all 65,536 patterns, NaN payloads
+// included.
+func TestTableMatchesArithmetic(t *testing.T) {
+	for i := 0; i <= 0xffff; i++ {
+		h := F16(i)
+		if got, want := math.Float32bits(To32(h)), math.Float32bits(to32(h)); got != want {
+			t.Fatalf("To32(%#04x) bits %#08x, arithmetic %#08x", i, got, want)
+		}
+	}
+}
+
+// TestFusedKernelsMatchWidenThenCompute: Dot and Axpy give the same bits
+// as widening a row first and running the float32 loops over it (the
+// path FP16 attention used before the fused kernels).
+func TestFusedKernelsMatchWidenThenCompute(t *testing.T) {
+	const n = 37
+	q := make([]float32, n)
+	h := make([]F16, n)
+	for i := range q {
+		q[i] = float32(math.Sin(float64(i)*1.7)) * 3
+		h[i] = F16(uint16(i*2749+13) &^ 0x4000) // finite, spread over exponents and signs
+	}
+	row := ToSlice(h)
+	var want float64
+	for i := range q {
+		want += float64(q[i]) * float64(row[i])
+	}
+	if got := Dot(q, h); math.Float32bits(got) != math.Float32bits(float32(want)) {
+		t.Fatalf("Dot = %v, widen-then-dot %v", got, float32(want))
+	}
+	y1 := append([]float32(nil), q...)
+	y2 := append([]float32(nil), q...)
+	Axpy(0.3711, h, y1)
+	for i := range y2 {
+		y2[i] += float32(0.3711 * row[i])
+	}
+	for i := range y1 {
+		if math.Float32bits(y1[i]) != math.Float32bits(y2[i]) {
+			t.Fatalf("Axpy[%d] = %v, widen-then-axpy %v", i, y1[i], y2[i])
+		}
+	}
+	for _, f := range []func(){
+		func() { Dot(q[:3], h[:4]) },
+		func() { Axpy(1, h[:4], q[:3]) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("expected length-mismatch panic")
+				}
+			}()
+			f()
+		}()
+	}
+}

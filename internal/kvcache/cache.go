@@ -157,10 +157,9 @@ type Cache struct {
 	tailK, tailV [][]f16.F16
 	tailTokens   int
 
-	// scratch buffers reused across Attend calls (the cache is not
+	// scores is scratch reused across Attend calls (the cache is not
 	// safe for concurrent use, like a real per-request KV cache).
 	scores []float32
-	row    []float32
 }
 
 // SealOptions selects the quantization kernel variant used at Seal time,
@@ -199,7 +198,6 @@ func (b *Builder) SealWith(plan *Plan, opts SealOptions) (*Cache, error) {
 		segs:  make([][]segment, b.cfg.Layers*b.cfg.Heads),
 		tailK: make([][]f16.F16, b.cfg.Layers*b.cfg.Heads),
 		tailV: make([][]f16.F16, b.cfg.Layers*b.cfg.Heads),
-		row:   make([]float32, b.cfg.HeadDim),
 	}
 	d := b.cfg.HeadDim
 	var cb []float32
@@ -262,7 +260,6 @@ func (c *Cache) Fork() *Cache {
 		tailK:      make([][]f16.F16, len(c.tailK)),
 		tailV:      make([][]f16.F16, len(c.tailV)),
 		tailTokens: c.tailTokens,
-		row:        make([]float32, c.cfg.HeadDim),
 	}
 	for idx := range c.tailK {
 		f.tailK[idx] = append([]f16.F16(nil), c.tailK[idx]...)
@@ -329,24 +326,17 @@ func (c *Cache) Attend(layer, head int, q []float32, scale float32, out []float3
 	scores := c.scores[:total]
 
 	// Score pass, segment by segment.
+	d := c.cfg.HeadDim
 	pos := 0
 	for _, seg := range c.segs[idx] {
 		if seg.prec == FP16 {
-			d := c.cfg.HeadDim
-			for t := 0; t < seg.tokens; t++ {
-				f16.ToSliceInto(c.row, seg.fk[t*d:(t+1)*d])
-				scores[pos+t] = mathx.Dot(q, c.row)
-			}
+			fp16Scores(scores[pos:pos+seg.tokens], q, seg.fk, d)
 		} else {
 			seg.qk.ScoresInto(scores[pos:pos+seg.tokens], q)
 		}
 		pos += seg.tokens
 	}
-	d := c.cfg.HeadDim
-	for t := 0; t < c.tailTokens; t++ {
-		f16.ToSliceInto(c.row, c.tailK[idx][t*d:(t+1)*d])
-		scores[pos+t] = mathx.Dot(q, c.row)
-	}
+	fp16Scores(scores[pos:], q, c.tailK[idx], d)
 
 	mathx.Scale(scale, scores)
 	mathx.Softmax(scores)
@@ -358,10 +348,7 @@ func (c *Cache) Attend(layer, head int, q []float32, scale float32, out []float3
 	pos = 0
 	for _, seg := range c.segs[idx] {
 		if seg.prec == FP16 {
-			for t := 0; t < seg.tokens; t++ {
-				f16.ToSliceInto(c.row, seg.fv[t*d:(t+1)*d])
-				mathx.Axpy(scores[pos+t], c.row, out)
-			}
+			fp16Accumulate(out, scores[pos:pos+seg.tokens], seg.fv, d)
 		} else {
 			for t := 0; t < seg.tokens; t++ {
 				seg.qv.AxpyRow(out, scores[pos+t], t)
@@ -369,9 +356,22 @@ func (c *Cache) Attend(layer, head int, q []float32, scale float32, out []float3
 		}
 		pos += seg.tokens
 	}
-	for t := 0; t < c.tailTokens; t++ {
-		f16.ToSliceInto(c.row, c.tailV[idx][t*d:(t+1)*d])
-		mathx.Axpy(scores[pos+t], c.row, out)
+	fp16Accumulate(out, scores[pos:], c.tailV[idx], d)
+}
+
+// fp16Scores writes dst[t] = dot(q, row t) over row-major FP16 rows of
+// width d: the FP16 segment kernel (mm), widening through f16's table.
+func fp16Scores(dst, q []float32, rows []f16.F16, d int) {
+	for t := range dst {
+		dst[t] = f16.Dot(q, rows[t*d:(t+1)*d])
+	}
+}
+
+// fp16Accumulate adds weights[t] · row t to out for every row-major FP16
+// row of width d, in row order.
+func fp16Accumulate(out, weights []float32, rows []f16.F16, d int) {
+	for t, w := range weights {
+		f16.Axpy(w, rows[t*d:(t+1)*d], out)
 	}
 }
 

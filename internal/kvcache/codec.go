@@ -212,7 +212,6 @@ func UnmarshalCache(data []byte) (*Cache, error) {
 		segs:  make([][]segment, n),
 		tailK: make([][]f16.F16, n),
 		tailV: make([][]f16.F16, n),
-		row:   make([]float32, cfg.HeadDim),
 	}
 	for idx := 0; idx < n; idx++ {
 		nSegs := d.u32()

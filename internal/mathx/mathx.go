@@ -18,13 +18,15 @@ func Dot(a, b []float32) float32 {
 	return float32(s)
 }
 
-// Axpy computes y += alpha*x in place.
+// Axpy computes y += alpha*x in place. The product is rounded to float32
+// before the add (an explicit conversion, so no platform fuses the two
+// into an FMA and results are the same everywhere).
 func Axpy(alpha float32, x, y []float32) {
 	if len(x) != len(y) {
 		panic("mathx: Axpy length mismatch")
 	}
 	for i := range x {
-		y[i] += alpha * x[i]
+		y[i] += float32(alpha * x[i])
 	}
 }
 

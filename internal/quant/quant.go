@@ -223,21 +223,10 @@ func nearestLevel(cb []float32, x float32) int {
 	return hi
 }
 
-// level converts a code to its normalized position in [0,1].
-func (t *Tensor) level(code int) float32 {
-	if t.codebook != nil {
-		return t.codebook[code]
-	}
-	return float32(code) / float32(t.Bits.Levels()-1)
-}
-
 // At dequantizes element (i, j).
 func (t *Tensor) At(i, j int) float32 {
 	gi := t.groupIndex(i, j)
-	scale := f16.To32(t.scales[gi])
-	zero := f16.To32(t.zeros[gi])
-	maxCode := float32(t.Bits.Levels() - 1)
-	return zero + t.level(t.Code(i*t.Cols+j))*scale*maxCode
+	return dequant(t.levels()[t.Code(i*t.Cols+j)], f16.To32(t.scales[gi]), f16.To32(t.zeros[gi]), t.maxCode())
 }
 
 // DequantRowInto writes the dequantized row i into dst (len == Cols).
@@ -245,11 +234,8 @@ func (t *Tensor) DequantRowInto(dst []float32, i int) {
 	if len(dst) != t.Cols {
 		panic("quant: DequantRowInto length mismatch")
 	}
-	maxCode := float32(t.Bits.Levels() - 1)
-	base := i * t.Cols
-	for j := 0; j < t.Cols; j++ {
-		gi := t.groupIndex(i, j)
-		dst[j] = f16.To32(t.zeros[gi]) + t.level(t.Code(base+j))*f16.To32(t.scales[gi])*maxCode
+	for j := range dst {
+		dst[j] = t.At(i, j)
 	}
 }
 
@@ -260,70 +246,6 @@ func (t *Tensor) Dequantize() []float32 {
 		t.DequantRowInto(out[i*t.Cols:(i+1)*t.Cols], i)
 	}
 	return out
-}
-
-// DotRow computes dot(q, dequant(row i)) without materializing the row —
-// the inner kernel of the paper's fqm (FP16 × quantized matrix multiply).
-func (t *Tensor) DotRow(q []float32, i int) float32 {
-	if len(q) != t.Cols {
-		panic("quant: DotRow length mismatch")
-	}
-	maxCode := float32(t.Bits.Levels() - 1)
-	base := i * t.Cols
-	var s float64
-	if t.Axis == PerToken && t.codebook == nil {
-		// Fast path: scales constant within a row group; accumulate code
-		// dot-products per group and apply affine transform once.
-		g := t.GroupSize
-		for j0 := 0; j0 < t.Cols; j0 += g {
-			j1 := j0 + g
-			if j1 > t.Cols {
-				j1 = t.Cols
-			}
-			gi := t.groupIndex(i, j0)
-			sc := f16.To32(t.scales[gi])
-			zr := f16.To32(t.zeros[gi])
-			var codeDot, qSum float64
-			for j := j0; j < j1; j++ {
-				qv := float64(q[j])
-				codeDot += qv * float64(t.Code(base+j))
-				qSum += qv
-			}
-			s += codeDot*float64(sc) + qSum*float64(zr)
-		}
-		return float32(s)
-	}
-	for j := 0; j < t.Cols; j++ {
-		gi := t.groupIndex(i, j)
-		v := f16.To32(t.zeros[gi]) + t.level(t.Code(base+j))*f16.To32(t.scales[gi])*maxCode
-		s += float64(q[j]) * float64(v)
-	}
-	return float32(s)
-}
-
-// ScoresInto computes dst[i] = dot(q, row_i) for every row (fqm against a
-// transposed K block). dst must have length Rows.
-func (t *Tensor) ScoresInto(dst []float32, q []float32) {
-	if len(dst) != t.Rows {
-		panic("quant: ScoresInto length mismatch")
-	}
-	for i := 0; i < t.Rows; i++ {
-		dst[i] = t.DotRow(q, i)
-	}
-}
-
-// AxpyRow accumulates dst += alpha * dequant(row i) — the V-side fqm kernel.
-func (t *Tensor) AxpyRow(dst []float32, alpha float32, i int) {
-	if len(dst) != t.Cols {
-		panic("quant: AxpyRow length mismatch")
-	}
-	maxCode := float32(t.Bits.Levels() - 1)
-	base := i * t.Cols
-	for j := 0; j < t.Cols; j++ {
-		gi := t.groupIndex(i, j)
-		v := f16.To32(t.zeros[gi]) + t.level(t.Code(base+j))*f16.To32(t.scales[gi])*maxCode
-		dst[j] += alpha * v
-	}
 }
 
 // Bytes returns the storage footprint in bytes: packed codes, FP16 scales
