@@ -36,16 +36,43 @@ func RetryAfterSeconds(drainMs float64) int {
 // budget. With budget 0 it never sheds and only tracks, which is what
 // prices the Retry-After header on depth-full 503s. Safe for concurrent
 // use.
+//
+// The in-flight total is an integer count of microseconds (see
+// costMicros), so a Done releases exactly what its Admit added and the
+// ledger returns to exactly zero whatever order requests finish in.
 type Admission struct {
 	budgetMs float64
 	workers  int
 
 	mu         sync.Mutex
 	inflight   int
-	inflightMs float64
+	inflightUs int64
 	admitted   int64
 	shed       int64
 }
+
+// maxCostUs caps one cost in the integer ledgers (about 285 years), so
+// sums of any realistic number of items cannot overflow int64.
+const maxCostUs = 1 << 53
+
+// costMicros converts a predicted cost in milliseconds to the integer
+// microseconds the ledgers keep, rounding to nearest. Negative and NaN
+// costs are free; huge or infinite ones are capped at maxCostUs. Equal
+// inputs always give equal outputs, which is what makes every
+// add/subtract pair cancel exactly.
+func costMicros(costMs float64) int64 {
+	if !(costMs > 0) {
+		return 0
+	}
+	us := math.Round(costMs * 1000)
+	if us >= maxCostUs {
+		return maxCostUs
+	}
+	return int64(us)
+}
+
+// millis converts ledger microseconds back to milliseconds for callers.
+func millis(us int64) float64 { return float64(us) / 1000 }
 
 // NewAdmission builds a tracker for the given deadline budget (<= 0
 // disables shedding) spread across workers (< 1 treated as 1).
@@ -69,18 +96,16 @@ func (a *Admission) BudgetMs() float64 { return a.budgetMs }
 // from. On ok the cost is added to the in-flight total and the caller
 // must pair the call with Done.
 func (a *Admission) Admit(costMs float64) (ok bool, drainMs float64) {
-	if costMs < 0 || math.IsNaN(costMs) {
-		costMs = 0
-	}
+	cost := costMicros(costMs)
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	drain := a.inflightMs / float64(a.workers)
-	if a.budgetMs > 0 && (a.inflightMs+costMs)/float64(a.workers) > a.budgetMs {
+	drain := a.drainMsLocked()
+	if a.budgetMs > 0 && millis(a.inflightUs+cost)/float64(a.workers) > a.budgetMs {
 		a.shed++
 		return false, drain
 	}
 	a.inflight++
-	a.inflightMs += costMs
+	a.inflightUs += cost
 	a.admitted++
 	return true, drain
 }
@@ -88,19 +113,17 @@ func (a *Admission) Admit(costMs float64) (ok bool, drainMs float64) {
 // Done releases an admitted request's cost; costMs must be the value
 // passed to the matching Admit.
 func (a *Admission) Done(costMs float64) {
-	if costMs < 0 || math.IsNaN(costMs) {
-		costMs = 0
-	}
+	cost := costMicros(costMs)
 	a.mu.Lock()
 	a.inflight--
-	a.inflightMs -= costMs
-	// Float drift on long-running servers must never fabricate phantom
-	// backlog (or a negative one).
+	a.inflightUs -= cost
+	// A Done without its Admit, or with a different cost, must never
+	// leave phantom backlog (or a negative one) behind.
 	if a.inflight < 0 {
 		a.inflight = 0
 	}
-	if a.inflightMs < 0 || a.inflight == 0 {
-		a.inflightMs = 0
+	if a.inflightUs < 0 || a.inflight == 0 {
+		a.inflightUs = 0
 	}
 	a.mu.Unlock()
 }
@@ -109,8 +132,10 @@ func (a *Admission) Done(costMs float64) {
 func (a *Admission) DrainMs() float64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.inflightMs / float64(a.workers)
+	return a.drainMsLocked()
 }
+
+func (a *Admission) drainMsLocked() float64 { return millis(a.inflightUs) / float64(a.workers) }
 
 // AdmissionStats is a point-in-time snapshot of the tracker.
 type AdmissionStats struct {
@@ -129,8 +154,8 @@ func (a *Admission) Stats() AdmissionStats {
 	return AdmissionStats{
 		BudgetMs:   a.budgetMs,
 		Inflight:   a.inflight,
-		InflightMs: a.inflightMs,
-		DrainMs:    a.inflightMs / float64(a.workers),
+		InflightMs: millis(a.inflightUs),
+		DrainMs:    a.drainMsLocked(),
 		Admitted:   a.admitted,
 		Shed:       a.shed,
 	}

@@ -265,3 +265,87 @@ func TestAdmissionConcurrent(t *testing.T) {
 		t.Fatalf("concurrent accounting drifted: %+v", st)
 	}
 }
+
+// TestLedgersDrainToExactZero: the admission and DRR ledgers count
+// integer microseconds, so however the same costs are added and removed
+// — any completion order, any interleaving of pushes and pops — a
+// drained ledger reads exactly zero. The costs are fractions binary
+// floats cannot represent; the test first confirms that float64 running
+// sums over them do drift, so it would catch a return to float ledgers.
+func TestLedgersDrainToExactZero(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	costs := make([]float64, 64)
+	for i := range costs {
+		costs[i] = 0.1 + float64(rng.Intn(5000))/3 + 1e-3*float64(i%7)
+	}
+
+	floatDrift := false
+	for trial := 0; trial < 20; trial++ {
+		var sum float64
+		for _, c := range costs {
+			sum += c
+		}
+		for _, i := range rng.Perm(len(costs)) {
+			sum -= costs[i]
+		}
+		if sum != 0 {
+			floatDrift = true
+		}
+	}
+	if !floatDrift {
+		t.Fatal("float64 sums over these costs never drift; the test would not catch float ledgers")
+	}
+
+	for trial := 0; trial < 20; trial++ {
+		a := NewAdmission(0, 3)
+		for _, c := range costs {
+			if ok, _ := a.Admit(c); !ok {
+				t.Fatal("tracking-only admission shed a request")
+			}
+		}
+		for _, i := range rng.Perm(len(costs)) {
+			a.Done(costs[i])
+		}
+		if st := a.Stats(); st.Inflight != 0 || st.InflightMs != 0 || st.DrainMs != 0 {
+			t.Fatalf("trial %d: drained admission ledger not exactly zero: %+v", trial, st)
+		}
+
+		q := NewQueue[int](37.3)
+		tenants := []string{"acme", "globex", "initech"}
+		wantServed := map[string]int64{}
+		for _, i := range rng.Perm(len(costs)) {
+			tenant := tenants[rng.Intn(len(tenants))]
+			q.Push(tenant, costs[i], i)
+			wantServed[tenant] += costMicros(costs[i])
+			if rng.Intn(3) == 0 {
+				q.Pop()
+			}
+		}
+		for q.Len() > 0 {
+			q.Pop()
+		}
+		for _, st := range q.Stats() {
+			if st.Queued != 0 || st.QueuedMs != 0 {
+				t.Fatalf("trial %d: tenant %q still queued after drain: %+v", trial, st.Tenant, st)
+			}
+			if st.ServedMs != millis(wantServed[st.Tenant]) {
+				t.Fatalf("trial %d: tenant %q served %v ms, want %v", trial, st.Tenant, st.ServedMs, millis(wantServed[st.Tenant]))
+			}
+		}
+	}
+}
+
+// TestCostMicros pins the conversion every ledger entry goes through.
+func TestCostMicros(t *testing.T) {
+	for _, c := range []struct {
+		ms   float64
+		want int64
+	}{
+		{0, 0}, {-3, 0}, {math.NaN(), 0}, {0.0004, 0}, {0.0005, 1},
+		{1.2345, 1235}, {250, 250000}, {math.Inf(1), maxCostUs}, {1e300, maxCostUs},
+	} {
+		if got := costMicros(c.ms); got != c.want {
+			t.Errorf("costMicros(%v) = %d, want %d", c.ms, got, c.want)
+		}
+	}
+}

@@ -20,22 +20,26 @@ import "sort"
 // 250ms is a fraction of one predicted prefill at the paper's shapes.
 const DefaultQuantumMs = 250
 
+// entry is one queued item; costUs is its predicted cost in integer
+// microseconds (costMicros).
 type entry[T any] struct {
-	v    T
-	cost float64
+	v      T
+	costUs int64
 }
 
 // tenantQ is one tenant's FIFO backlog plus its DRR credit and
 // cumulative accounting (kept after the backlog drains, so metrics
-// survive idle periods).
+// survive idle periods). All costs are integer microseconds, so a
+// drained tenant's queued total is exactly zero whatever order its
+// items were pushed and dispatched in.
 type tenantQ[T any] struct {
-	name    string
-	entries []entry[T]
-	deficit float64
+	name      string
+	entries   []entry[T]
+	deficitUs int64
 
-	queuedMs float64 // predicted ms currently queued
-	servedMs float64 // cumulative predicted ms dispatched
-	served   int64   // cumulative items dispatched
+	queuedUs int64 // predicted µs currently queued
+	servedUs int64 // cumulative predicted µs dispatched
+	served   int64 // cumulative items dispatched
 }
 
 // Queue is a deficit-round-robin multi-tenant queue over predicted cost.
@@ -51,11 +55,11 @@ type tenantQ[T any] struct {
 // so the default (no -tenant-header) configuration reproduces the
 // untenanted scheduler decision-for-decision.
 type Queue[T any] struct {
-	quantum float64
-	tenants map[string]*tenantQ[T]
-	ring    []*tenantQ[T]
-	cur     int
-	size    int
+	quantumUs int64
+	tenants   map[string]*tenantQ[T]
+	ring      []*tenantQ[T]
+	cur       int
+	size      int
 }
 
 // NewQueue builds an empty queue; quantumMs <= 0 selects
@@ -64,7 +68,7 @@ func NewQueue[T any](quantumMs float64) *Queue[T] {
 	if quantumMs <= 0 {
 		quantumMs = DefaultQuantumMs
 	}
-	return &Queue[T]{quantum: quantumMs, tenants: map[string]*tenantQ[T]{}}
+	return &Queue[T]{quantumUs: max(costMicros(quantumMs), 1), tenants: map[string]*tenantQ[T]{}}
 }
 
 // Len reports the queued item count across all tenants.
@@ -74,9 +78,7 @@ func (q *Queue[T]) Len() int { return q.size }
 // (negative costs are treated as free). A tenant whose backlog was empty
 // joins the ring at the tail.
 func (q *Queue[T]) Push(tenant string, costMs float64, v T) {
-	if costMs < 0 {
-		costMs = 0
-	}
+	cost := costMicros(costMs)
 	t := q.tenants[tenant]
 	if t == nil {
 		t = &tenantQ[T]{name: tenant}
@@ -85,8 +87,8 @@ func (q *Queue[T]) Push(tenant string, costMs float64, v T) {
 	if len(t.entries) == 0 {
 		q.ring = append(q.ring, t)
 	}
-	t.entries = append(t.entries, entry[T]{v: v, cost: costMs})
-	t.queuedMs += costMs
+	t.entries = append(t.entries, entry[T]{v: v, costUs: cost})
+	t.queuedUs += cost
 	q.size++
 }
 
@@ -103,17 +105,17 @@ func (q *Queue[T]) Head() (v T, tenant string, ok bool) {
 		return t.entries[0].v, t.name, true
 	}
 	// Simulate the Pop scan on copied credit.
-	def := make([]float64, len(q.ring))
+	def := make([]int64, len(q.ring))
 	for i, t := range q.ring {
-		def[i] = t.deficit
+		def[i] = t.deficitUs
 	}
 	cur := q.cur
 	for {
 		t := q.ring[cur]
-		if def[cur] >= t.entries[0].cost {
+		if def[cur] >= t.entries[0].costUs {
 			return t.entries[0].v, t.name, true
 		}
-		def[cur] += q.quantum
+		def[cur] += q.quantumUs
 		cur = (cur + 1) % len(q.ring)
 	}
 }
@@ -131,10 +133,10 @@ func (q *Queue[T]) Pop() (v T, ok bool) {
 	}
 	for {
 		t := q.ring[q.cur]
-		if t.deficit >= t.entries[0].cost {
+		if t.deficitUs >= t.entries[0].costUs {
 			return q.serveCur(), true
 		}
-		t.deficit += q.quantum
+		t.deficitUs += q.quantumUs
 		q.cur = (q.cur + 1) % len(q.ring)
 	}
 }
@@ -146,18 +148,15 @@ func (q *Queue[T]) serveCur() T {
 	t := q.ring[q.cur]
 	head := t.entries[0]
 	t.entries = t.entries[1:]
-	if t.deficit -= head.cost; t.deficit < 0 {
-		t.deficit = 0
+	if t.deficitUs -= head.costUs; t.deficitUs < 0 {
+		t.deficitUs = 0
 	}
-	t.queuedMs -= head.cost
-	if t.queuedMs < 0 {
-		t.queuedMs = 0
-	}
-	t.servedMs += head.cost
+	t.queuedUs -= head.costUs
+	t.servedUs += head.costUs
 	t.served++
 	q.size--
 	if len(t.entries) == 0 {
-		t.deficit = 0
+		t.deficitUs = 0
 		q.ring = append(q.ring[:q.cur], q.ring[q.cur+1:]...)
 		if q.cur >= len(q.ring) {
 			q.cur = 0
@@ -183,9 +182,9 @@ func (q *Queue[T]) Stats() []TenantStats {
 		out = append(out, TenantStats{
 			Tenant:   t.name,
 			Queued:   len(t.entries),
-			QueuedMs: t.queuedMs,
+			QueuedMs: millis(t.queuedUs),
 			Served:   t.served,
-			ServedMs: t.servedMs,
+			ServedMs: millis(t.servedUs),
 		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Tenant < out[j].Tenant })
