@@ -84,6 +84,28 @@ func (b *Builder) Append(layer, head int, k, v []float32) {
 	b.v[idx] = append(b.v[idx], v...)
 }
 
+// Reserve makes room for n more context tokens, so that appending them
+// allocates nothing. Every (layer, head) row buffer without enough spare
+// capacity is reallocated at exactly its current length plus n rows:
+// Append's amortized growth would leave up to a quarter of a long
+// context's rows as unused capacity, resident bytes that SizeBytes (and
+// so every byte budget charging it) does not see. On a Clone, whose
+// buffers have no spare capacity, Reserve also performs the one copy the
+// first Append would have made.
+func (b *Builder) Reserve(n int) {
+	need := n * b.cfg.HeadDim
+	grow := func(rows []float32) []float32 {
+		if cap(rows)-len(rows) >= need {
+			return rows
+		}
+		return append(make([]float32, 0, len(rows)+need), rows...)
+	}
+	for idx := range b.k {
+		b.k[idx] = grow(b.k[idx])
+		b.v[idx] = grow(b.v[idx])
+	}
+}
+
 // Clone returns an independent builder holding the same accumulated
 // context KV. The clone's row storage is capacity-clamped to its current
 // length (three-index slices), so the first Append on either builder
@@ -321,7 +343,9 @@ func (c *Cache) Attend(layer, head int, q []float32, scale float32, out []float3
 	idx := layer*c.cfg.Heads + head
 	total := c.Len()
 	if cap(c.scores) < total {
-		c.scores = make([]float32, total)
+		// Headroom for the decode tail, so a growing cache does not
+		// reallocate its scores on every step.
+		c.scores = make([]float32, total, total+total/8+16)
 	}
 	scores := c.scores[:total]
 

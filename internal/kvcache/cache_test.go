@@ -402,3 +402,42 @@ func TestBuilderSizeBytes(t *testing.T) {
 		t.Fatalf("Builder.SizeBytes = %d, want %d", got, want)
 	}
 }
+
+// TestBuilderReserve: Reserve on a clone sizes every row buffer at
+// exactly the reserved length, so the reserved appends allocate nothing
+// and leave no unaccounted spare capacity, and the original builder's
+// rows are untouched.
+func TestBuilderReserve(t *testing.T) {
+	cfg := testConfig()
+	orig := fillBuilder(35, cfg, 20)
+	want := orig.KRow(1, 1, 19)[0]
+	c := orig.Clone()
+	c.Reserve(5)
+	bufs := make([]*float32, len(c.k))
+	for idx := range c.k {
+		if got, exact := cap(c.k[idx]), (20+5)*cfg.HeadDim; got != exact || cap(c.v[idx]) != exact {
+			t.Fatalf("row buffer %d capacity %d/%d after Reserve, want exactly %d", idx, got, cap(c.v[idx]), exact)
+		}
+		bufs[idx] = &c.k[idx][:1][0]
+	}
+	r := rngx.New(36)
+	for tok := 0; tok < 5; tok++ {
+		c.BeginToken()
+		for l := 0; l < cfg.Layers; l++ {
+			for h := 0; h < cfg.Heads; h++ {
+				c.Append(l, h, r.GaussianVec(cfg.HeadDim, 1), r.GaussianVec(cfg.HeadDim, 1))
+			}
+		}
+	}
+	for idx := range c.k {
+		if &c.k[idx][0] != bufs[idx] {
+			t.Fatalf("row buffer %d reallocated during reserved appends", idx)
+		}
+	}
+	if orig.NumTokens() != 20 || orig.KRow(1, 1, 19)[0] != want {
+		t.Fatal("Reserve or appends on the clone changed the original")
+	}
+	if got := c.SizeBytes(); got != int64(4*2*25*cfg.Layers*cfg.Heads*cfg.HeadDim) {
+		t.Fatalf("clone SizeBytes = %d", got)
+	}
+}

@@ -266,6 +266,7 @@ func (m *Model) prefillInto(b *kvcache.Builder, start int, context []int) error 
 	if start+len(context) > m.cfg.MaxSeq {
 		return fmt.Errorf("model: context length %d exceeds MaxSeq %d", start+len(context), m.cfg.MaxSeq)
 	}
+	b.Reserve(len(context))
 	d := m.cfg.Dim
 	scores := make([]float32, 0, start+len(context))
 	bvec := make([]float32, d)
