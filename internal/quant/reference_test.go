@@ -106,19 +106,23 @@ func checkKernels(t *Tensor, q []float32, alpha float32, seed uint64) error {
 // TestKernelsMatchReference is the reference matrix: every fast kernel,
 // bitwise, over {INT2, INT4, INT8} × {PerToken, PerChannel} × {uniform,
 // codebook} × {asymmetric, symmetric grid} × shapes with ragged groups
-// on both axes, odd Cols, groups longer than the tensor, empty tensors
-// and Cols wider than the stack scratch.
+// on both axes, odd Cols, packed rows read in place by the fused byte
+// loops, groups longer than the tensor, empty tensors and Cols wider
+// than the stack scratch.
 func TestKernelsMatchReference(t *testing.T) {
 	shapes := []struct{ rows, cols, group int }{
-		{37, 48, 32},            // served width, ragged row blocks
-		{9, 33, 16},             // odd Cols: ragged INT4/INT2 rows
-		{13, 7, 5},              // ragged groups on both axes
-		{6, 30, 3},              // Cols a multiple of 2 but not 4
-		{3, 16, 64},             // group longer than the tensor on both axes
-		{64, 1, 3},              // single column
-		{5, stackCols + 45, 32}, // wider than the stack scratch
-		{0, 12, 4},              // no rows
-		{4, 0, 8},               // no columns
+		{37, 48, 32},             // served width, ragged row blocks
+		{9, 33, 16},              // odd Cols: ragged INT4/INT2 rows
+		{13, 7, 5},               // ragged groups on both axes
+		{6, 30, 3},               // Cols a multiple of 2 but not 4
+		{3, 16, 64},              // group longer than the tensor on both axes
+		{64, 1, 3},               // single column
+		{11, 40, 16},             // packed rows, short last group
+		{7, 44, 32},              // packed rows, 12-column last group
+		{5, stackCols + 45, 32},  // wider than the stack scratch, ragged
+		{3, 2*stackCols + 8, 32}, // wider than the stack scratch, packed
+		{0, 12, 4},               // no rows
+		{4, 0, 8},                // no columns
 	}
 	r := rngx.New(23)
 	for _, sh := range shapes {

@@ -1,8 +1,11 @@
 #!/usr/bin/env bash
 # bench.sh runs the serving-path benchmark suite (warm session answers,
-# session append vs re-prefill, prefix cache under scan, mixed-kind
-# workload, batched serve throughput, streamed time-to-first-token,
-# cost-gate admission overhead, tenant-fairness dispatch cost, store
+# session append vs re-prefill, the attention kernel rungs — FP16, INT4
+# and INT2 scores and value accumulation, including the served
+# per-channel-K / per-token-V axes — segment attention with and without
+# chunk reordering, prefix cache under scan, mixed-kind workload,
+# batched serve throughput, streamed time-to-first-token, cost-gate
+# admission overhead, tenant-fairness dispatch cost, store
 # lock-contention 1 vs 8 shards, session-registry churn) and converts
 # the output to BENCH_PR10.json at the repo root via cocktail-benchjson.
 #
@@ -27,7 +30,8 @@ benchtime="${BENCHTIME:-1x}"
 out="${OUT:-BENCH_PR10.json}"
 
 {
-  go test -run '^$' -bench '^(BenchmarkSessionAnswerWarm|BenchmarkAppendVsReprefill)$' -benchtime "$benchtime" .
+  go test -run '^$' -bench '^(BenchmarkSessionAnswerWarm|BenchmarkAppendVsReprefill|BenchmarkKernel.*|BenchmarkCacheAttend|BenchmarkCacheAttendNoReorder)$' \
+    -benchtime "$benchtime" .
   go test -run '^$' -bench '^(BenchmarkPrefixCacheUnderScan|BenchmarkMixedKindWorkload|BenchmarkBatchedServeThroughput|BenchmarkStreamTTFT|BenchmarkCostAdmission|BenchmarkTenantFairness)$' \
     -benchtime "$benchtime" ./internal/workload
   go test -run '^$' -bench '^BenchmarkStoreContention$' -benchtime "$benchtime" ./internal/sessioncache
