@@ -294,6 +294,59 @@ func BenchmarkSessionCacheAnswerHit(b *testing.B) {
 	}
 }
 
+// BenchmarkPrefill measures prefill alone (model.Prefill: K/V rows and
+// layer-0 attention for every context token, no Module I, seal or
+// decode) on the 768-token Qasper sample and on its context doubled to
+// 1,536 tokens. Run with -benchmem: allocations per call stay constant
+// as the context doubles, while bytes grow with the builder's rows.
+func BenchmarkPrefill(b *testing.B) {
+	p, err := New(Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := p.NewSample("Qasper", 7)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ids, err := p.encode(s.Context)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, ctx := range [][]int{ids, append(append([]int{}, ids...), ids...)} {
+		b.Run(fmt.Sprintf("ctx=%d", len(ctx)), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := p.model.Prefill(ctx); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkUnembed measures one greedy unembedding: the argmax over the
+// whole vocabulary's embedding scores, run once per decoded token.
+func BenchmarkUnembed(b *testing.B) {
+	p, err := New(Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := p.NewSample("Qasper", 7)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ids, err := p.encode(s.Query)
+	if err != nil {
+		b.Fatal(err)
+	}
+	o := p.model.Embedding(ids[len(ids)-1])
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.model.Unembed(o)
+	}
+}
+
 // --- Kernel microbenchmarks -------------------------------------------
 
 func benchRows(n, d int) []float32 {

@@ -79,9 +79,32 @@ func (b *Builder) Append(layer, head int, k, v []float32) {
 	if len(k) != b.cfg.HeadDim || len(v) != b.cfg.HeadDim {
 		panic("kvcache: Append row width mismatch")
 	}
+	kr, vr := b.AppendRow(layer, head)
+	copy(kr, k)
+	copy(vr, v)
+}
+
+// AppendRow adds zero K and V rows for the current token at (layer, head)
+// and returns them for the caller to fill, so a row computed in place is
+// written once. After Reserve the rows are taken from the reserved
+// storage without allocating.
+func (b *Builder) AppendRow(layer, head int) (k, v []float32) {
 	idx := layer*b.cfg.Heads + head
-	b.k[idx] = append(b.k[idx], k...)
-	b.v[idx] = append(b.v[idx], v...)
+	b.k[idx], k = extendRow(b.k[idx], b.cfg.HeadDim)
+	b.v[idx], v = extendRow(b.v[idx], b.cfg.HeadDim)
+	return k, v
+}
+
+// extendRow lengthens rows by one row of width d and returns it with that
+// row. Spare capacity is never written before it is appended (the builder
+// never shrinks, and a Clone has none), so the new row reads zero.
+func extendRow(rows []float32, d int) ([]float32, []float32) {
+	n := len(rows)
+	if cap(rows)-n < d {
+		rows = append(rows, make([]float32, d)...)
+	}
+	rows = rows[:n+d]
+	return rows, rows[n : n+d : n+d]
 }
 
 // Reserve makes room for n more context tokens, so that appending them
@@ -150,6 +173,16 @@ func (b *Builder) VRow(layer, head, t int) []float32 {
 	idx := layer*b.cfg.Heads + head
 	d := b.cfg.HeadDim
 	return b.v[idx][t*d : (t+1)*d]
+}
+
+// Rows returns every K and V row recorded so far for (layer, head) as one
+// contiguous row-major view each: row t is [t*HeadDim, (t+1)*HeadDim).
+// The views alias the builder's storage and are read-only (a Clone may
+// share them); multi-row kernels such as prefill attention read them
+// whole instead of row by row.
+func (b *Builder) Rows(layer, head int) (k, v []float32) {
+	idx := layer*b.cfg.Heads + head
+	return b.k[idx], b.v[idx]
 }
 
 // segment is one contiguous same-precision block of the sealed cache for a
@@ -226,38 +259,49 @@ func (b *Builder) SealWith(plan *Plan, opts SealOptions) (*Cache, error) {
 	if opts.UseCodebook {
 		cb = quant.GaussianCodebook(quant.INT4)
 	}
+	// Split the physical order into equal-precision runs; every (layer,
+	// head) builds one segment per run. The runs' rows are gathered into
+	// one scratch sized to the longest run, reused for K and V of every
+	// run: f16.FromSlice and quant.Quantize copy out of their input.
+	var runs [][2]int
+	longest := 0
+	for i := 0; i < len(precs); {
+		j := i
+		for j < len(precs) && precs[j] == precs[i] {
+			j++
+		}
+		runs = append(runs, [2]int{i, j})
+		longest = max(longest, j-i)
+		i = j
+	}
+	scratch := make([]float32, longest*d)
+	gather := func(rows []float32, toks []int) []float32 {
+		buf := scratch[:len(toks)*d]
+		for r, t := range toks {
+			copy(buf[r*d:(r+1)*d], rows[t*d:(t+1)*d])
+		}
+		return buf
+	}
 	for idx := range b.k {
-		// Split the physical order into equal-precision runs and build one
-		// segment per run.
-		for i := 0; i < len(precs); {
-			j := i
-			for j < len(precs) && precs[j] == precs[i] {
-				j++
-			}
-			n := j - i
-			seg := segment{prec: precs[i], tokens: n}
-			kbuf := make([]float32, 0, n*d)
-			vbuf := make([]float32, 0, n*d)
-			for _, t := range order[i:j] {
-				kbuf = append(kbuf, b.k[idx][t*d:(t+1)*d]...)
-				vbuf = append(vbuf, b.v[idx][t*d:(t+1)*d]...)
-			}
+		for _, run := range runs {
+			toks := order[run[0]:run[1]]
+			n := len(toks)
+			seg := segment{prec: precs[run[0]], tokens: n}
 			if seg.prec == FP16 {
-				seg.fk = f16.FromSlice(kbuf)
-				seg.fv = f16.FromSlice(vbuf)
+				seg.fk = f16.FromSlice(gather(b.k[idx], toks))
+				seg.fv = f16.FromSlice(gather(b.v[idx], toks))
 			} else {
 				bits := quant.Bits(seg.prec.Bits())
 				var segCB []float32
 				if cb != nil && bits == quant.INT4 {
 					segCB = cb
 				}
-				seg.qk = quant.Quantize(kbuf, n, d, quant.Config{
+				seg.qk = quant.Quantize(gather(b.k[idx], toks), n, d, quant.Config{
 					Bits: bits, Axis: opts.KAxis, GroupSize: opts.GroupSize, Codebook: segCB})
-				seg.qv = quant.Quantize(vbuf, n, d, quant.Config{
+				seg.qv = quant.Quantize(gather(b.v[idx], toks), n, d, quant.Config{
 					Bits: bits, Axis: opts.VAxis, GroupSize: opts.GroupSize, Codebook: segCB})
 			}
 			c.segs[idx] = append(c.segs[idx], seg)
-			i = j
 		}
 	}
 	return c, nil

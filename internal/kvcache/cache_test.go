@@ -441,3 +441,49 @@ func TestBuilderReserve(t *testing.T) {
 		t.Fatalf("clone SizeBytes = %d", got)
 	}
 }
+
+// TestBuilderAppendRowAndRows: AppendRow hands out the new, zero rows of
+// the builder's own storage (capacity-clamped, so appending to one cannot
+// reach the next row), and Rows views every recorded row contiguously,
+// row t where KRow/VRow find it.
+func TestBuilderAppendRowAndRows(t *testing.T) {
+	cfg := testConfig()
+	d := cfg.HeadDim
+	b := fillBuilder(37, cfg, 3)
+	b.Reserve(2)
+	for tok := 0; tok < 2; tok++ {
+		b.BeginToken()
+		for l := 0; l < cfg.Layers; l++ {
+			for h := 0; h < cfg.Heads; h++ {
+				k, v := b.AppendRow(l, h)
+				if len(k) != d || cap(k) != d || len(v) != d || cap(v) != d {
+					t.Fatalf("AppendRow rows len/cap %d/%d and %d/%d, want %d", len(k), cap(k), len(v), cap(v), d)
+				}
+				for i := range k {
+					if k[i] != 0 || v[i] != 0 {
+						t.Fatal("AppendRow returned a non-zero row")
+					}
+					k[i], v[i] = float32(100*l+10*h+tok), -float32(i)
+				}
+			}
+		}
+	}
+	for l := 0; l < cfg.Layers; l++ {
+		for h := 0; h < cfg.Heads; h++ {
+			k, v := b.Rows(l, h)
+			if len(k) != 5*d || len(v) != 5*d {
+				t.Fatalf("Rows(%d, %d) holds %d/%d values, want %d", l, h, len(k), len(v), 5*d)
+			}
+			for tok := 0; tok < 5; tok++ {
+				for i := 0; i < d; i++ {
+					if k[tok*d+i] != b.KRow(l, h, tok)[i] || v[tok*d+i] != b.VRow(l, h, tok)[i] {
+						t.Fatalf("Rows(%d, %d) row %d differs from KRow/VRow", l, h, tok)
+					}
+				}
+			}
+			if k[3*d] != float32(100*l+10*h) || k[4*d] != float32(100*l+10*h+1) || v[4*d+2] != -2 {
+				t.Fatalf("Rows(%d, %d) does not show the rows written through AppendRow", l, h)
+			}
+		}
+	}
+}

@@ -30,6 +30,70 @@ func Axpy(alpha float32, x, y []float32) {
 	}
 }
 
+// DotRows writes out[t] = Dot(q, row t) for the len(out) row-major rows of
+// width len(q) in rows. Eight rows share each pass over q, one float64
+// accumulator per row: the accumulators are independent, so running them
+// side by side hides the add latency while every row's sum keeps Dot's
+// operations and left-to-right order, and the results are bit-identical
+// to Dot's.
+func DotRows(q, rows, out []float32) {
+	d := len(q)
+	if len(rows) != len(out)*d {
+		panic("mathx: DotRows length mismatch")
+	}
+	t := 0
+	for ; t+8 <= len(out); t += 8 {
+		r := rows[t*d : (t+8)*d]
+		r0, r1, r2, r3 := r[:d], r[d:][:d], r[2*d:][:d], r[3*d:][:d]
+		r4, r5, r6, r7 := r[4*d:][:d], r[5*d:][:d], r[6*d:][:d], r[7*d:][:d]
+		var s0, s1, s2, s3, s4, s5, s6, s7 float64
+		for i, v := range q {
+			x := float64(v)
+			s0 += x * float64(r0[i])
+			s1 += x * float64(r1[i])
+			s2 += x * float64(r2[i])
+			s3 += x * float64(r3[i])
+			s4 += x * float64(r4[i])
+			s5 += x * float64(r5[i])
+			s6 += x * float64(r6[i])
+			s7 += x * float64(r7[i])
+		}
+		o := out[t : t+8]
+		o[0], o[1], o[2], o[3] = float32(s0), float32(s1), float32(s2), float32(s3)
+		o[4], o[5], o[6], o[7] = float32(s4), float32(s5), float32(s6), float32(s7)
+	}
+	for ; t < len(out); t++ {
+		out[t] = Dot(q, rows[t*d:(t+1)*d])
+	}
+}
+
+// AxpyRows computes y += w[t]*row t for the len(w) row-major rows of width
+// len(y) in rows, in row order. Four rows share each pass over y, and each
+// y[i] receives the same float32(w[t]*row t[i]) terms in the same order as
+// successive Axpy calls would add them, so results are bit-identical.
+func AxpyRows(w, rows, y []float32) {
+	d := len(y)
+	if len(rows) != len(w)*d {
+		panic("mathx: AxpyRows length mismatch")
+	}
+	t := 0
+	for ; t+4 <= len(w); t += 4 {
+		r := rows[t*d : (t+4)*d]
+		r0, r1, r2, r3 := r[:d], r[d:][:d], r[2*d:][:d], r[3*d:][:d]
+		w0, w1, w2, w3 := w[t], w[t+1], w[t+2], w[t+3]
+		for i, v := range y {
+			v += float32(w0 * r0[i])
+			v += float32(w1 * r1[i])
+			v += float32(w2 * r2[i])
+			v += float32(w3 * r3[i])
+			y[i] = v
+		}
+	}
+	for ; t < len(w); t++ {
+		Axpy(w[t], rows[t*d:(t+1)*d], y)
+	}
+}
+
 // Scale multiplies x by alpha in place.
 func Scale(alpha float32, x []float32) {
 	for i := range x {

@@ -138,3 +138,117 @@ func TestClamp(t *testing.T) {
 		t.Fatal("Clamp wrong")
 	}
 }
+
+// rowKernelInput fills n values from r with a mix of ordinary Gaussians
+// and the special values a row kernel must carry through exactly: signed
+// zeros, subnormals, infinities and NaN.
+func rowKernelInput(r *rngx.RNG, n int) []float32 {
+	special := []float32{
+		0, float32(math.Copysign(0, -1)),
+		math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32, 1e-40, -3e-39,
+		float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()),
+		math.MaxFloat32, -math.MaxFloat32,
+	}
+	x := r.GaussianVec(n, 1)
+	for i := range x {
+		if r.Intn(6) == 0 {
+			x[i] = special[r.Intn(len(special))]
+		}
+	}
+	return x
+}
+
+// sameFloat reports bit identity, counting any two NaNs as equal. The Go
+// spec leaves NaN payloads and signs unspecified, and the compiler may
+// commute the operands of a float add or multiply (amd64 propagates the
+// first operand's NaN), so which NaN a sum carries is not a property of
+// the source; that it is NaN, and every non-NaN bit, is.
+func sameFloat(a, b float32) bool {
+	return math.Float32bits(a) == math.Float32bits(b) || (a != a && b != b)
+}
+
+// checkRowKernels compares DotRows and AxpyRows bitwise against per-row
+// Dot and successive Axpy calls over the same inputs.
+func checkRowKernels(t *testing.T, q, rows, w, y []float32) {
+	t.Helper()
+	d := len(q)
+	n := len(w)
+	got := make([]float32, n)
+	DotRows(q, rows, got)
+	for i := 0; i < n; i++ {
+		want := Dot(q, rows[i*d:(i+1)*d])
+		if !sameFloat(got[i], want) {
+			t.Fatalf("DotRows rows=%d d=%d row %d: %v (%#x), Dot %v (%#x)",
+				n, d, i, got[i], math.Float32bits(got[i]), want, math.Float32bits(want))
+		}
+	}
+	gy := append([]float32(nil), y...)
+	wy := append([]float32(nil), y...)
+	AxpyRows(w, rows, gy)
+	for i := 0; i < n; i++ {
+		Axpy(w[i], rows[i*d:(i+1)*d], wy)
+	}
+	for i := range gy {
+		if !sameFloat(gy[i], wy[i]) {
+			t.Fatalf("AxpyRows rows=%d d=%d y[%d]: %v (%#x), Axpy %v (%#x)",
+				n, d, i, gy[i], math.Float32bits(gy[i]), wy[i], math.Float32bits(wy[i]))
+		}
+	}
+}
+
+func TestRowKernelsMatchDotAxpy(t *testing.T) {
+	r := rngx.New(11)
+	for _, d := range []int{1, 7, 48, 300} {
+		for n := 0; n <= 17; n++ {
+			for trial := 0; trial < 4; trial++ {
+				gen := r.GaussianVec
+				if trial > 0 {
+					gen = func(k int, _ float64) []float32 { return rowKernelInput(r, k) }
+				}
+				checkRowKernels(t, gen(d, 1), gen(n*d, 1), gen(n, 1), gen(d, 1))
+			}
+		}
+	}
+}
+
+func TestRowKernelsPanicOnMismatch(t *testing.T) {
+	for name, f := range map[string]func(){
+		"DotRows":  func() { DotRows([]float32{1, 2}, []float32{1, 2, 3}, make([]float32, 2)) },
+		"AxpyRows": func() { AxpyRows([]float32{1}, []float32{1, 2, 3}, make([]float32, 2)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s: expected panic", name)
+				}
+			}()
+			f()
+		}()
+	}
+}
+
+// FuzzRowKernelsMatchDot drives DotRows and AxpyRows with fuzzed bit
+// patterns (every float32, NaN payloads and subnormals included) and
+// fuzzed geometry, and requires bit-identity with Dot and Axpy.
+func FuzzRowKernelsMatchDot(f *testing.F) {
+	f.Add(uint8(3), uint8(9), []byte{0x00, 0x00, 0x80, 0x7f, 0x01, 0x00, 0x00, 0x80})
+	f.Add(uint8(48), uint8(17), []byte{0xdb, 0x0f, 0x49, 0x40})
+	f.Add(uint8(1), uint8(0), []byte{})
+	f.Fuzz(func(t *testing.T, dRaw, nRaw uint8, data []byte) {
+		d := int(dRaw)%64 + 1
+		n := int(nRaw) % 20
+		// Cycle the fuzzed bytes into float32 bit patterns; an empty
+		// input reads as all zeros.
+		vals := make([]float32, d+n*d+n+d)
+		for i := range vals {
+			var bits uint32
+			for k := 0; k < 4 && len(data) > 0; k++ {
+				bits |= uint32(data[(4*i+k)%len(data)]) << (8 * k)
+			}
+			vals[i] = math.Float32frombits(bits)
+		}
+		q, rows := vals[:d], vals[d:d+n*d]
+		w, y := vals[d+n*d:d+n*d+n], vals[d+n*d+n:]
+		checkRowKernels(t, q, rows, w, y)
+	})
+}

@@ -88,8 +88,12 @@ func (c Config) Validate() error {
 type Model struct {
 	cfg Config
 	lex *corpus.Lexicon
-	emb [][]float32 // content embedding per word id
-	pos [][]float32 // position vectors, pos[0] is the "before start" vector
+	// embRows holds every content embedding as one row-major
+	// [vocab][Dim] array, so Unembed scores the vocabulary with one
+	// multi-row kernel; emb[id] is a capacity-clamped view of row id.
+	embRows []float32
+	emb     [][]float32
+	pos     [][]float32 // position vectors, pos[0] is the "before start" vector
 	// chGain holds per-channel K magnitudes and invGain its reciprocal.
 	// Real LLM K caches have a few large-magnitude channels; queries are
 	// scaled inversely so FP32 attention is unchanged, but quantization
@@ -142,9 +146,10 @@ func New(cfg Config, lex *corpus.Lexicon) (*Model, error) {
 	ta := float32(math.Sqrt(cfg.TopicWeight))
 	ca := float32(math.Sqrt(cfg.ConceptWeight))
 	sa := float32(math.Sqrt(cfg.SurfaceWeight))
+	m.embRows = make([]float32, len(lex.Words)*d)
 	m.emb = make([][]float32, len(lex.Words))
 	for id, w := range lex.Words {
-		e := make([]float32, d)
+		e := m.embRows[id*d : (id+1)*d : (id+1)*d]
 		// Topic ids can be FunctionTopic (-1): offset so labels stay unique.
 		tv := vec(topicVec, 0x70, w.Topic+2)
 		cv := vec(conceptVec, 0xc0, w.Concept)
@@ -179,32 +184,32 @@ func New(cfg Config, lex *corpus.Lexicon) (*Model, error) {
 	return m, nil
 }
 
-// kRow builds the stored K row for position j from the logical key vector:
-// channel gains always apply; sink positions get an extra magnitude boost.
-func (m *Model) kRow(j int, key []float32) []float32 {
-	out := make([]float32, len(key))
+// keyInto writes the stored K row for position j from the logical key
+// vector into dst and returns dst: channel gains always apply; sink
+// positions get an extra magnitude boost.
+func (m *Model) keyInto(dst []float32, j int, key []float32) []float32 {
 	for i, v := range key {
-		out[i] = v * m.chGain[i]
+		dst[i] = v * m.chGain[i]
 	}
 	if j >= 0 && isSink(j) {
-		for i := 0; i < len(out); i += outlierChannelStride {
-			out[i] += sinkSpike
+		for i := 0; i < len(dst); i += outlierChannelStride {
+			dst[i] += sinkSpike
 		}
 	}
-	return out
+	return dst
 }
 
-// scaleQuery folds the inverse channel gains and the attention gain into a
-// fresh query vector, so FP32 scores equal gamma*(q·k) for normal tokens.
-// The gain product is rounded first, matching the dense path's folded
-// weight matrices bit-for-bit (see dense.go).
-func (m *Model) scaleQuery(q []float32, gamma float32) []float32 {
-	out := make([]float32, len(q))
+// queryInto folds the inverse channel gains and the attention gain into
+// the query q, writing it to dst and returning dst, so FP32 scores equal
+// gamma*(q·k) for normal tokens. The gain product is rounded first,
+// matching the dense path's folded weight matrices bit-for-bit (see
+// dense.go).
+func (m *Model) queryInto(dst, q []float32, gamma float32) []float32 {
 	for i, v := range q {
 		g := m.invGain[i] * gamma
-		out[i] = g * v
+		dst[i] = g * v
 	}
-	return out
+	return dst
 }
 
 // Config returns the model configuration.
@@ -251,14 +256,21 @@ func (m *Model) Prefill(context []int) (*kvcache.Builder, error) {
 // Prefill of the concatenation would run, so the resulting builder is
 // bit-identical to Prefill(prefix ++ suffix). The builder is typically a
 // Clone of a shared stored builder: extending a clone leaves the stored
-// original (and any concurrent readers of it) untouched.
+// original (and any concurrent readers of it) untouched. On error the
+// builder is unchanged.
 func (m *Model) PrefillExtend(b *kvcache.Builder, suffix []int) error {
 	return m.prefillInto(b, b.NumTokens(), suffix)
 }
 
 // prefillInto runs the prefill token loop for context at sequence
 // positions start..start+len(context)-1, appending to b. It requires b to
-// hold exactly `start` tokens already.
+// hold exactly `start` tokens already, and checks every token before it
+// changes b, so a failed prefill leaves b as it was.
+//
+// Every K/V row is written once, in place, into storage Reserve set
+// aside, and layer-0 attention reads the builder's contiguous layer-0
+// rows through the multi-row kernels, which keep the per-row Dot and Axpy
+// arithmetic bit for bit (DESIGN.md "Kernel contract").
 func (m *Model) prefillInto(b *kvcache.Builder, start int, context []int) error {
 	if b.NumTokens() != start {
 		return fmt.Errorf("model: builder holds %d tokens, prefill resumes at %d", b.NumTokens(), start)
@@ -266,39 +278,40 @@ func (m *Model) prefillInto(b *kvcache.Builder, start int, context []int) error 
 	if start+len(context) > m.cfg.MaxSeq {
 		return fmt.Errorf("model: context length %d exceeds MaxSeq %d", start+len(context), m.cfg.MaxSeq)
 	}
-	b.Reserve(len(context))
-	d := m.cfg.Dim
-	scores := make([]float32, 0, start+len(context))
-	bvec := make([]float32, d)
-	for jj, tok := range context {
-		j := start + jj
+	for _, tok := range context {
 		if tok < 0 || tok >= len(m.emb) {
 			return fmt.Errorf("model: token id %d out of vocabulary", tok)
 		}
+	}
+	b.Reserve(len(context))
+	d := m.cfg.Dim
+	scores := make([]float32, start+len(context))
+	q := make([]float32, d)
+	bvec := make([]float32, d)
+	for jj, tok := range context {
+		j := start + jj
 		content := m.emb[tok]
 		b.BeginToken()
 		// Layer 0 rows: K = position vector (with channel gains and sink
 		// boosts), V = content.
-		b.Append(0, 0, m.kRow(j, m.positionVec(j)), content)
+		k, v := b.AppendRow(0, 0)
+		m.keyInto(k, j, m.positionVec(j))
+		copy(v, content)
 
 		// Layer-0 attention for position j: query is the previous
 		// position's vector, causally over positions [0, j].
-		scores = scores[:0]
-		q := m.scaleQuery(m.positionVec(j-1), m.cfg.Gamma1)
-		for t := 0; t <= j; t++ {
-			scores = append(scores, mathx.Dot(q, b.KRow(0, 0, t)))
-		}
-		mathx.Softmax(scores)
-		for i := range bvec {
-			bvec[i] = 0
-		}
-		for t := 0; t <= j; t++ {
-			mathx.Axpy(scores[t], b.VRow(0, 0, t), bvec)
-		}
+		s := scores[:j+1]
+		k0, v0 := b.Rows(0, 0)
+		mathx.DotRows(m.queryInto(q, m.positionVec(j-1), m.cfg.Gamma1), k0, s)
+		mathx.Softmax(s)
+		clear(bvec)
+		mathx.AxpyRows(s, v0, bvec)
 
 		// Layer 1 rows: K = previous-token content (the layer-0 output),
 		// V = own content. Induction matching happens against these.
-		b.Append(1, 0, m.kRow(j, bvec), content)
+		k, v = b.AppendRow(1, 0)
+		m.keyInto(k, j, bvec)
+		copy(v, content)
 	}
 	return nil
 }
@@ -312,16 +325,22 @@ type Decoder struct {
 	pos   int // next sequence position
 	b     []float32
 	o     []float32
+	// q and k are per-step scratch for the scaled query and the K row
+	// (Attend and AppendTail copy out of them).
+	q, k []float32
 }
 
 // NewDecoder positions a decoder after the sealed context.
 func (m *Model) NewDecoder(cache *kvcache.Cache) *Decoder {
+	d := m.cfg.Dim
 	return &Decoder{
 		m:     m,
 		cache: cache,
 		pos:   cache.ContextTokens(),
-		b:     make([]float32, m.cfg.Dim),
-		o:     make([]float32, m.cfg.Dim),
+		b:     make([]float32, d),
+		o:     make([]float32, d),
+		q:     make([]float32, d),
+		k:     make([]float32, d),
 	}
 }
 
@@ -337,18 +356,16 @@ func (d *Decoder) Step(tok int) int {
 	dcfg := m.cfg
 
 	// Layer 0: previous-token head.
-	q1 := m.scaleQuery(m.positionVec(d.pos-1), dcfg.Gamma1)
-	d.cache.Attend(0, 0, q1, 1, d.b)
+	d.cache.Attend(0, 0, m.queryInto(d.q, m.positionVec(d.pos-1), dcfg.Gamma1), 1, d.b)
 
 	// Layer 1: induction head keyed by current content.
-	q2 := m.scaleQuery(content, dcfg.Gamma2)
-	d.cache.Attend(1, 0, q2, 1, d.o)
+	d.cache.Attend(1, 0, m.queryInto(d.q, content, dcfg.Gamma2), 1, d.o)
 
 	// Append this token's KV (always FP16 — decode/query phase; decode
 	// positions are never sinks but carry the channel gains).
 	d.cache.BeginToken()
-	d.cache.AppendTail(0, 0, m.kRow(-1, m.positionVec(d.pos)), content)
-	d.cache.AppendTail(1, 0, m.kRow(-1, d.b), content)
+	d.cache.AppendTail(0, 0, m.keyInto(d.k, -1, m.positionVec(d.pos)), content)
+	d.cache.AppendTail(1, 0, m.keyInto(d.k, -1, d.b), content)
 	d.pos++
 
 	return m.Unembed(d.o)
@@ -357,12 +374,24 @@ func (d *Decoder) Step(tok int) int {
 // Output returns the last induction-head output vector (for diagnostics).
 func (d *Decoder) Output() []float32 { return d.o }
 
-// Unembed returns the vocabulary id whose embedding best matches o.
+// unembedBlock is how many vocabulary rows Unembed scores per DotRows
+// call, into a stack buffer.
+const unembedBlock = 64
+
+// Unembed returns the vocabulary id whose embedding best matches o (the
+// first such id on ties). The scores are mathx.Dot(emb[id], o) bit for
+// bit, computed over the flat embedding array by the multi-row kernel.
 func (m *Model) Unembed(o []float32) int {
+	d := m.cfg.Dim
+	var buf [unembedBlock]float32
 	best, bi := float32(math.Inf(-1)), 0
-	for id, e := range m.emb {
-		if s := mathx.Dot(e, o); s > best {
-			best, bi = s, id
+	for lo := 0; lo < len(m.emb); lo += unembedBlock {
+		s := buf[:min(unembedBlock, len(m.emb)-lo)]
+		mathx.DotRows(o, m.embRows[lo*d:(lo+len(s))*d], s)
+		for i, v := range s {
+			if v > best {
+				best, bi = v, lo+i
+			}
 		}
 	}
 	return bi

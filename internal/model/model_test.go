@@ -1,11 +1,13 @@
 package model
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"repro/internal/corpus"
 	"repro/internal/kvcache"
+	"repro/internal/mathx"
 	"repro/internal/rngx"
 )
 
@@ -347,4 +349,238 @@ func TestRegistryModelsDistinct(t *testing.T) {
 		}
 		seen[cfg.Name] = true
 	}
+}
+
+// The serial per-token loops that Prefill and Unembed replaced live on
+// here as the test reference: one mathx.Dot per score, one mathx.Axpy per
+// value row, freshly allocated K rows and queries. The multi-row kernels
+// must reproduce them bit for bit.
+
+// referenceKRow is the allocating form of keyInto.
+func referenceKRow(m *Model, j int, key []float32) []float32 {
+	out := make([]float32, len(key))
+	for i, v := range key {
+		out[i] = v * m.chGain[i]
+	}
+	if j >= 0 && isSink(j) {
+		for i := 0; i < len(out); i += outlierChannelStride {
+			out[i] += sinkSpike
+		}
+	}
+	return out
+}
+
+// referenceQuery is the allocating form of queryInto.
+func referenceQuery(m *Model, q []float32, gamma float32) []float32 {
+	out := make([]float32, len(q))
+	for i, v := range q {
+		g := m.invGain[i] * gamma
+		out[i] = g * v
+	}
+	return out
+}
+
+// referencePrefill is the serial per-token prefill loop.
+func referencePrefill(m *Model, context []int) *kvcache.Builder {
+	b := kvcache.NewBuilder(m.CacheConfig())
+	scores := make([]float32, 0, len(context))
+	bvec := make([]float32, m.cfg.Dim)
+	for j, tok := range context {
+		content := m.emb[tok]
+		b.BeginToken()
+		b.Append(0, 0, referenceKRow(m, j, m.positionVec(j)), content)
+		scores = scores[:0]
+		q := referenceQuery(m, m.positionVec(j-1), m.cfg.Gamma1)
+		for t := 0; t <= j; t++ {
+			scores = append(scores, mathx.Dot(q, b.KRow(0, 0, t)))
+		}
+		mathx.Softmax(scores)
+		for i := range bvec {
+			bvec[i] = 0
+		}
+		for t := 0; t <= j; t++ {
+			mathx.Axpy(scores[t], b.VRow(0, 0, t), bvec)
+		}
+		b.Append(1, 0, referenceKRow(m, j, bvec), content)
+	}
+	return b
+}
+
+// referenceUnembed is the serial argmax over per-id mathx.Dot scores.
+func referenceUnembed(m *Model, o []float32) int {
+	best, bi := float32(math.Inf(-1)), 0
+	for id, e := range m.emb {
+		if s := mathx.Dot(e, o); s > best {
+			best, bi = s, id
+		}
+	}
+	return bi
+}
+
+// sameBuilder fails unless got and want hold the same token count, byte
+// size and K/V row bits on every layer.
+func sameBuilder(t *testing.T, label string, got, want *kvcache.Builder) {
+	t.Helper()
+	if got.NumTokens() != want.NumTokens() || got.SizeBytes() != want.SizeBytes() {
+		t.Fatalf("%s: %d tokens / %d B, want %d / %d", label,
+			got.NumTokens(), got.SizeBytes(), want.NumTokens(), want.SizeBytes())
+	}
+	for l := 0; l < Layers; l++ {
+		gk, gv := got.Rows(l, 0)
+		wk, wv := want.Rows(l, 0)
+		if len(gk) != len(wk) || len(gv) != len(wv) {
+			t.Fatalf("%s: layer %d holds %d/%d values, want %d/%d", label, l, len(gk), len(gv), len(wk), len(wv))
+		}
+		for i := range wk {
+			if math.Float32bits(gk[i]) != math.Float32bits(wk[i]) {
+				t.Fatalf("%s: layer %d K value %d = %v, want %v", label, l, i, gk[i], wk[i])
+			}
+			if math.Float32bits(gv[i]) != math.Float32bits(wv[i]) {
+				t.Fatalf("%s: layer %d V value %d = %v, want %v", label, l, i, gv[i], wv[i])
+			}
+		}
+	}
+}
+
+// randomContext draws n token ids uniformly from the model's vocabulary.
+func randomContext(m *Model, seed uint64, n int) []int {
+	r := rngx.New(seed)
+	ctx := make([]int, n)
+	for i := range ctx {
+		ctx[i] = r.Intn(len(m.emb))
+	}
+	return ctx
+}
+
+// TestPrefillMatchesReference: for every Registry model, Prefill and
+// Prefill followed by PrefillExtend at several split points (inside and
+// across the eight-row blocks of DotRows, and deep into the context)
+// produce exactly the serial reference loop's builder.
+func TestPrefillMatchesReference(t *testing.T) {
+	for ci, cfg := range Registry(1024) {
+		t.Run(cfg.Name, func(t *testing.T) {
+			m, err := New(cfg, testLex())
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := randomContext(m, uint64(40+ci), 723)
+			want := referencePrefill(m, ctx)
+			got, err := m.Prefill(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameBuilder(t, "Prefill", got, want)
+			for _, split := range []int{1, 7, 8, 9, 700} {
+				b, err := m.Prefill(ctx[:split])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := m.PrefillExtend(b, ctx[split:]); err != nil {
+					t.Fatal(err)
+				}
+				sameBuilder(t, fmt.Sprintf("split %d", split), b, want)
+			}
+		})
+	}
+}
+
+// TestPrefillExtendFailureLeavesBuilderUntouched: a PrefillExtend that
+// fails — an out-of-vocabulary id late in the suffix, or a suffix past
+// MaxSeq — changes neither the builder's token count, nor its size, nor
+// any row bit, and the builder still extends correctly afterwards.
+func TestPrefillExtendFailureLeavesBuilderUntouched(t *testing.T) {
+	cfg := Registry(64)[0]
+	m, err := New(cfg, testLex())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := randomContext(m, 7, 40)
+	b, err := m.Prefill(ctx[:20])
+	if err != nil {
+		t.Fatal(err)
+	}
+	pristine := referencePrefill(m, ctx[:20])
+	bad := append(append([]int{}, ctx[20:30]...), len(m.emb))
+	if err := m.PrefillExtend(b, bad); err == nil {
+		t.Fatal("expected OOV error")
+	}
+	sameBuilder(t, "after OOV", b, pristine)
+	if err := m.PrefillExtend(b, randomContext(m, 8, 45)); err == nil {
+		t.Fatal("expected MaxSeq error")
+	}
+	sameBuilder(t, "after MaxSeq", b, pristine)
+	if err := m.PrefillExtend(b, ctx[20:]); err != nil {
+		t.Fatal(err)
+	}
+	sameBuilder(t, "extended", b, referencePrefill(m, ctx))
+}
+
+// TestPrefillAllocsConstant: prefill allocates a fixed number of buffers
+// per call, whatever the context length.
+func TestPrefillAllocsConstant(t *testing.T) {
+	m := testModel(t)
+	allocs := func(n int) float64 {
+		ctx := randomContext(m, 9, n)
+		return testing.AllocsPerRun(3, func() {
+			if _, err := m.Prefill(ctx); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if short, long := allocs(16), allocs(512); short != long {
+		t.Fatalf("Prefill allocations grow with context: %v at 16 tokens, %v at 512", short, long)
+	}
+}
+
+// TestUnembedMatchesReference: Unembed returns the reference argmax for
+// random outputs, and on ties — duplicated embedding rows within one
+// DotRows block, across blocks, and an all-zero output scoring every id
+// equal — the first id.
+func TestUnembedMatchesReference(t *testing.T) {
+	for ci, cfg := range Registry(64) {
+		m, err := New(cfg, testLex())
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := rngx.New(uint64(60 + ci))
+		for trial := 0; trial < 200; trial++ {
+			o := r.GaussianVec(cfg.Dim, 1)
+			if trial%2 == 1 {
+				// A noisy copy of one embedding, as decoding produces.
+				o = append([]float32(nil), m.emb[r.Intn(len(m.emb))]...)
+				for i := range o {
+					o[i] += 0.05 * r.NormFloat32()
+				}
+			}
+			if got, want := m.Unembed(o), referenceUnembed(m, o); got != want {
+				t.Fatalf("%s trial %d: Unembed = %d, reference %d", cfg.Name, trial, got, want)
+			}
+		}
+		if got := m.Unembed(make([]float32, cfg.Dim)); got != 0 || referenceUnembed(m, make([]float32, cfg.Dim)) != 0 {
+			t.Fatalf("%s: zero output unembeds to %d, want 0", cfg.Name, got)
+		}
+	}
+
+	m := testModel(t)
+	for _, tie := range [][2]int{{5, 9}, {3, unembedBlock + 17}, {unembedBlock - 1, unembedBlock}} {
+		first, dup := tie[0], tie[1]
+		saved := append([]float32(nil), m.emb[dup]...)
+		copy(m.emb[dup], m.emb[first])
+		o := m.emb[first]
+		got, want := m.Unembed(o), referenceUnembed(m, o)
+		copy(m.emb[dup], saved)
+		if got != first || want != first {
+			t.Fatalf("tie %d/%d: Unembed = %d, reference %d, want %d", first, dup, got, want, first)
+		}
+	}
+}
+
+func TestUnembedPanicsOnWidthMismatch(t *testing.T) {
+	m := testModel(t)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic")
+		}
+	}()
+	m.Unembed(make([]float32, m.cfg.Dim+1))
 }

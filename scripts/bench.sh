@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# bench.sh runs the serving-path benchmark suite (warm session answers,
-# session append vs re-prefill, the attention kernel rungs — FP16, INT4
+# bench.sh runs the serving-path benchmark suite (cold and warm answers,
+# session append vs re-prefill, prefill alone at 768 and 1,536 context
+# tokens, unembedding, sealing, the attention kernel rungs — FP16, INT4
 # and INT2 scores and value accumulation, including the served
 # per-channel-K / per-token-V axes — segment attention with and without
 # chunk reordering, prefix cache under scan, mixed-kind workload,
@@ -30,8 +31,8 @@ benchtime="${BENCHTIME:-1x}"
 out="${OUT:-BENCH_PR10.json}"
 
 {
-  go test -run '^$' -bench '^(BenchmarkSessionAnswerWarm|BenchmarkAppendVsReprefill|BenchmarkKernel.*|BenchmarkCacheAttend|BenchmarkCacheAttendNoReorder)$' \
-    -benchtime "$benchtime" .
+  go test -run '^$' -bench '^(BenchmarkPipelineAnswer|BenchmarkSessionAnswerWarm|BenchmarkAppendVsReprefill|BenchmarkPrefill|BenchmarkUnembed|BenchmarkQuantizeSeal|BenchmarkKernel.*|BenchmarkCacheAttend|BenchmarkCacheAttendNoReorder)$' \
+    -benchmem -benchtime "$benchtime" .
   go test -run '^$' -bench '^(BenchmarkPrefixCacheUnderScan|BenchmarkMixedKindWorkload|BenchmarkBatchedServeThroughput|BenchmarkStreamTTFT|BenchmarkCostAdmission|BenchmarkTenantFairness)$' \
     -benchtime "$benchtime" ./internal/workload
   go test -run '^$' -bench '^BenchmarkStoreContention$' -benchtime "$benchtime" ./internal/sessioncache
